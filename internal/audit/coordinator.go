@@ -116,8 +116,12 @@ type coordTask struct {
 	job   *EpochJob
 	index int
 
-	encOnce sync.Once
-	enc     []byte
+	// encMu guards enc, released and job.Start: the sender encodes and
+	// the local pool replays outside Coordinator.mu, while release may run
+	// on whichever goroutine settles the task.
+	encMu    sync.Mutex
+	enc      []byte
+	released bool
 
 	attempts   int
 	inflight   int
@@ -136,10 +140,43 @@ type coordTask struct {
 }
 
 // frame returns the cached wire encoding of the job, so a re-dispatch
-// never re-encodes.
+// never re-encodes; nil once the task has settled and released its state.
 func (t *coordTask) frame() []byte {
-	t.encOnce.Do(func() { t.enc = jobToWire(t.job).Marshal() })
+	t.encMu.Lock()
+	defer t.encMu.Unlock()
+	if t.enc == nil && !t.released {
+		t.enc = jobToWire(t.job).Marshal()
+	}
 	return t.enc
+}
+
+// replayJob returns a copy of the job for local replay, or nil once the
+// task has settled and released its state. The copy keeps the start state
+// alive for the replay even if the task settles meanwhile.
+func (t *coordTask) replayJob() *EpochJob {
+	t.encMu.Lock()
+	defer t.encMu.Unlock()
+	if t.released {
+		return nil
+	}
+	job := *t.job
+	return &job
+}
+
+// finish releases a settled task's dispatch state and counts it toward
+// its run's completion. Every verdict path calls it after the task's emit
+// (if any) returned, so the router's spot recheck, which replays from
+// job.Start inside emit, has already run: a settled task is never
+// dispatched or rechecked again, and holding its materialized start state
+// and cached frame until the whole run ends would size the coordinator's
+// memory by the run's length instead of by the work in flight.
+func (t *coordTask) finish() {
+	t.encMu.Lock()
+	t.released = true
+	t.enc = nil
+	t.job.Start = nil
+	t.encMu.Unlock()
+	t.run.finishSettle(1)
 }
 
 // coordRun is one audit's jobs on the shared queue. A task counts toward
@@ -186,9 +223,13 @@ type coordWorker struct {
 	addr string
 	stop chan struct{}
 
-	conn        net.Conn
-	inflight    map[taskKey]*coordDispatch
+	conn     net.Conn
+	inflight map[taskKey]*coordDispatch
+	// sentRuns are the runs whose session the live connection registered;
+	// endRuns are settled runs whose session the sender must still end on
+	// the worker (DistFrameMuxSessionEnd). Both reset with the connection.
 	sentRuns    map[uint64]struct{}
+	endRuns     []uint64
 	timeouts    int
 	activeSince time.Time
 	busy        time.Duration
@@ -357,31 +398,23 @@ func (c *Coordinator) shutdown(cause error) {
 		c.retiredBusy += w.busy
 	}
 	c.workers = map[string]*coordWorker{}
-	type pendingRun struct {
-		run *coordRun
-		n   int64
-	}
-	var pends []pendingRun
+	var pending []*coordTask
 	for _, run := range c.runs {
 		run.err = cause
-		var n int64
 		for _, t := range run.tasks {
 			if !t.done {
 				t.done = true
 				t.queued = false
-				n++
+				pending = append(pending, t)
 			}
-		}
-		if n > 0 {
-			pends = append(pends, pendingRun{run, n})
 		}
 	}
 	c.queue = nil
 	c.reg.Gauge("queue_depth").Set(0)
 	c.broadcastLocked()
 	c.mu.Unlock()
-	for _, p := range pends {
-		p.run.finishSettle(p.n)
+	for _, t := range pending {
+		t.finish()
 	}
 	c.wg.Wait()
 }
@@ -521,7 +554,11 @@ func (c *Coordinator) enqueueRun(sess Session, jobs []*EpochJob, skip func(int) 
 		key:       key,
 		journaled: j != nil,
 	}
-	var stored []*wire.AuditVerdict
+	type storedVerdict struct {
+		t *coordTask
+		v *wire.AuditVerdict
+	}
+	var stored []storedVerdict
 	for _, job := range jobs {
 		t := &coordTask{
 			run: run, job: job, index: job.Index,
@@ -532,7 +569,7 @@ func (c *Coordinator) enqueueRun(sess Session, jobs []*EpochJob, skip func(int) 
 			if v, perr := wire.ParseAuditVerdict(enc); perr == nil && int(v.Index) == job.Index {
 				// Durable in the journal: settle without ever dispatching.
 				t.done = true
-				stored = append(stored, v)
+				stored = append(stored, storedVerdict{t, v})
 				continue
 			}
 		}
@@ -555,23 +592,43 @@ func (c *Coordinator) enqueueRun(sess Session, jobs []*EpochJob, skip func(int) 
 	// router exactly as a worker's verdict would — spot rechecks included,
 	// so a tampered journal is caught like a lying worker — and the
 	// resumed audit's Result stays byte-identical to an uninterrupted run.
-	for _, v := range stored {
-		r := verdictFromWire(v)
+	for _, sv := range stored {
+		r := verdictFromWire(sv.v)
 		c.reg.Counter("journal_epochs_skipped").Inc()
-		run.emit(EpochVerdict{Index: int(v.Index), Stats: r.stats, Fault: r.fault, Worker: "journal"})
-		run.finishSettle(1)
+		run.emit(EpochVerdict{Index: sv.t.index, Stats: r.stats, Fault: r.fault, Worker: "journal"})
+		sv.t.finish()
 	}
 
 	<-run.done
 
 	c.mu.Lock()
 	delete(c.runs, run.id)
+	c.endSessionLocked(run.id)
 	err := run.err
 	c.mu.Unlock()
 	if err == nil && j != nil {
 		j.runCompleted(key)
 	}
 	return err
+}
+
+// endSessionLocked forgets a settled run on every worker connection that
+// registered its session and queues the end frame the connection's sender
+// writes, so neither end of the connection holds the run past its
+// settlement.
+func (c *Coordinator) endSessionLocked(runID uint64) {
+	ended := false
+	for _, w := range c.workers {
+		if _, ok := w.sentRuns[runID]; ok {
+			delete(w.sentRuns, runID)
+			w.endRuns = append(w.endRuns, runID)
+			c.reg.Gauge("runs_tracked").Add(-1)
+			ended = true
+		}
+	}
+	if ended {
+		c.broadcastLocked()
+	}
 }
 
 // broadcastLocked wakes every goroutine parked on the queue.
@@ -647,7 +704,7 @@ func (c *Coordinator) failTasks(tasks []*coordTask) {
 			WireBytesFull: t.fullBytes, WireBytesDelta: t.deltaBytes,
 			DeltaShipped: t.deltaSent, DeltaFallbacks: t.deltaFalls,
 		})
-		t.run.finishSettle(1)
+		t.finish()
 	}
 }
 
@@ -677,7 +734,7 @@ func (c *Coordinator) takeLocked(w *coordWorker, now time.Time) (picked *coordTa
 			t.queued = false
 			if t.inflight == 0 {
 				t.done = true
-				t.run.finishSettle(1)
+				t.finish()
 			}
 			continue
 		}
@@ -771,7 +828,7 @@ func (c *Coordinator) deliverRemote(w *coordWorker, runID uint64, v *wire.AuditV
 	ev.Stats = r.stats
 	ev.Fault = r.fault
 	run.emit(ev)
-	run.finishSettle(1)
+	t.finish()
 }
 
 // deltaFallback handles a worker's need-state notice: the worker no longer
@@ -843,6 +900,10 @@ func (w *coordWorker) detachLocked(now time.Time) {
 	w.conn.Close()
 	w.conn = nil
 	c := w.c
+	// The worker drops every session with the connection.
+	c.reg.Gauge("runs_tracked").Add(-int64(len(w.sentRuns)))
+	w.sentRuns = nil
+	w.endRuns = nil
 	for key, disp := range w.inflight {
 		t := disp.task
 		w.dropDispatchLocked(key, now)
@@ -979,6 +1040,7 @@ func (w *coordWorker) serveConn(conn net.Conn) bool {
 	w.conn = conn
 	w.inflight = make(map[taskKey]*coordDispatch)
 	w.sentRuns = make(map[uint64]struct{})
+	w.endRuns = nil
 	w.trackers = make(map[uint64]*deltaTracker)
 	w.needReset = nil
 	w.timeouts = 0
@@ -1019,6 +1081,7 @@ send:
 			runID = t.run.id
 			if _, ok := w.sentRuns[runID]; !ok {
 				w.sentRuns[runID] = struct{}{}
+				c.reg.Gauge("runs_tracked").Add(1)
 				sessFrame = t.run.frame
 			}
 			t.inflight++
@@ -1031,12 +1094,26 @@ send:
 			}
 			w.needReset = nil
 		}
+		ends := w.endRuns
+		w.endRuns = nil
 		wait := w.senderWaitLocked(now, nextAt, lastPing)
 		wakeCh := c.wake
 		c.mu.Unlock()
 		c.failTasks(failed)
 		for _, id := range resetRuns {
 			w.trackers[id].invalidate()
+		}
+		if len(ends) > 0 {
+			// A settled run's jobs are all written (a run settles only
+			// after every task did, and the sender writes a task's frames
+			// before its next pass), so the end frame follows them.
+			conn.SetWriteDeadline(time.Now().Add(c.cfg.JobTimeout))
+			for _, id := range ends {
+				delete(w.trackers, id)
+				if writeDistFrame(conn, wire.DistFrameMuxSessionEnd, wire.AppendMuxID(id, nil)) != nil {
+					break send
+				}
+			}
 		}
 
 		if t != nil {
@@ -1060,7 +1137,18 @@ send:
 			}
 			delta := frame != nil
 			if frame == nil {
-				frame = t.frame()
+				if frame = t.frame(); frame == nil {
+					// The task settled on another copy and released its
+					// state before this one shipped: free the slot.
+					key := taskKey{run: runID, index: t.index}
+					c.mu.Lock()
+					if _, ok := w.inflight[key]; ok && w.conn == conn {
+						w.dropDispatchLocked(key, time.Now())
+						t.inflight--
+					}
+					c.mu.Unlock()
+					continue
+				}
 				w.trackers[runID].noteFull(t.job)
 			}
 			if writeDistFrame(conn, kind, wire.AppendMuxID(runID, frame)) != nil {
@@ -1204,7 +1292,15 @@ func (c *Coordinator) localLoop() {
 			timer.Stop()
 			continue
 		}
-		r := runEpochJob(t.run.sess, t.job, nil)
+		job := t.replayJob()
+		if job == nil {
+			// Settled by a worker's verdict meanwhile.
+			c.mu.Lock()
+			t.inflight--
+			c.mu.Unlock()
+			continue
+		}
+		r := runEpochJob(t.run.sess, job, nil)
 		c.reg.Counter("local_fallback_epochs").Inc()
 		c.mu.Lock()
 		t.inflight--
@@ -1226,7 +1322,7 @@ func (c *Coordinator) localLoop() {
 			c.cfg.Journal.verdictEmitted(t.run.key, t.index, verdictToWire(t.index, r).Marshal())
 		}
 		t.run.emit(ev)
-		t.run.finishSettle(1)
+		t.finish()
 	}
 }
 

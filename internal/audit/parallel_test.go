@@ -24,8 +24,9 @@ const (
 var eqWorkerCounts = []int{1, 2, 8}
 
 // compareVerdicts fails the test when a result diverges from the serial
-// auditor's verdict: pass/fail, fault check and entry, and (on passing
-// runs) replay and syntactic stats must all match.
+// auditor's verdict: pass/fail, fault check and entry, and replay and
+// syntactic stats must all match — on faults too, where the replay stats
+// price exactly the work done up to the faulting entry.
 func compareVerdicts(t *testing.T, label string, serial, got *audit.Result) {
 	t.Helper()
 	if got.Passed != serial.Passed {
@@ -43,7 +44,7 @@ func compareVerdicts(t *testing.T, label string, serial, got *audit.Result) {
 				serial.Fault.Check, serial.Fault.EntrySeq)
 		}
 	}
-	if serial.Passed && got.Replay != serial.Replay {
+	if got.Replay != serial.Replay {
 		t.Errorf("%s: replay stats %+v, serial %+v", label, got.Replay, serial.Replay)
 	}
 	if got.Syntactic != serial.Syntactic {

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"net"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -45,22 +46,41 @@ func writeDistFrame(w io.Writer, kind wire.DistFrameKind, body []byte) error {
 	return err
 }
 
-// readDistFrame reads one length-prefixed protocol frame.
+// frameReadChunk is the most readDistFrame allocates for a frame body
+// before any of it arrives: a full-state job for the 128–256 KiB guests
+// fits in one allocation, and a larger body doubles the buffer as its
+// bytes come in.
+const frameReadChunk = 512 << 10
+
+// readDistFrame reads one length-prefixed protocol frame. The body buffer
+// grows with the bytes actually received, so a peer that declares a huge
+// frame and sends little costs about what it sent, not the declared
+// length (up to wire.MaxDistFrame).
 func readDistFrame(r io.Reader) (wire.DistFrameKind, []byte, error) {
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return 0, nil, err
 	}
-	n := binary.BigEndian.Uint32(hdr[:])
+	n := int(binary.BigEndian.Uint32(hdr[:]))
 	if n == 0 {
 		return 0, nil, errors.New("audit: empty protocol frame")
 	}
 	if n > wire.MaxDistFrame {
 		return 0, nil, wire.ErrFrameTooLarge
 	}
-	body := make([]byte, n)
-	if _, err := io.ReadFull(r, body); err != nil {
-		return 0, nil, err
+	body := make([]byte, 0, min(n, frameReadChunk))
+	for len(body) < n {
+		if len(body) == cap(body) {
+			body = slices.Grow(body, min(n-len(body), len(body)))
+		}
+		m := min(n, cap(body))
+		if _, err := io.ReadFull(r, body[len(body):m]); err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, err
+		}
+		body = body[:m]
 	}
 	return wire.DistFrameKind(body[0]), body[1:], nil
 }
@@ -84,10 +104,18 @@ func ServeEpochWorker(l net.Listener) error {
 //   - the PR-5 one-shot protocol (DistFrameSession then synchronous jobs),
 //     spoken by TCPBackend;
 //   - the multiplexed service protocol (DistFrameMuxSession /
-//     DistFrameMuxJob / DistFramePing), spoken by the Coordinator: one
-//     connection carries many audit sessions, pipelined jobs replay in
-//     arrival order on a per-connection executor, and pings are answered
-//     from the read loop even while a replay runs.
+//     DistFrameMuxJob / DistFrameMuxSessionEnd / DistFramePing), spoken by
+//     the Coordinator: one connection carries many audit sessions,
+//     pipelined jobs replay in arrival order on a per-connection executor,
+//     and pings are answered from the read loop even while a replay runs.
+//
+// Each multiplexed session lives from its DistFrameMuxSession (register:
+// the reference configuration, parsed once) through its job frames to the
+// DistFrameMuxSessionEnd the coordinator sends when the audit run settles;
+// the end drops the session, and jobs already queued for it replay with
+// their own copy. A connection therefore holds its live sessions, at most
+// stateCacheSize verified start states for delta jobs, and its queued
+// jobs — not a trace of every audit it ever carried.
 //
 // Jobs within a connection replay one at a time, so a deployment's
 // parallelism is its worker count; pipelining exists to hide the wire
@@ -109,7 +137,12 @@ type EpochWorker struct {
 	inflight sync.WaitGroup // accepted jobs not yet answered
 	connSeq  atomic.Int64
 	jobSeq   atomic.Int64
+	sessions atomic.Int64 // multiplexed sessions registered and not yet ended
 }
+
+// Sessions reports the multiplexed audit sessions the worker holds across
+// its connections: registered, not yet ended, on a live connection.
+func (w *EpochWorker) Sessions() int { return int(w.sessions.Load()) }
 
 // Serve accepts coordinator connections until the listener closes. It
 // returns nil when the worker was drained, the accept error otherwise.
@@ -383,6 +416,7 @@ func (w *EpochWorker) serveMuxConn(conn net.Conn, firstKind wire.DistFrameKind, 
 	}()
 
 	sessions := make(map[uint64]Session)
+	defer func() { w.sessions.Add(-int64(len(sessions))) }()
 	frameSeq := 0
 	handle := func(kind wire.DistFrameKind, body []byte) error {
 		switch kind {
@@ -399,8 +433,21 @@ func (w *EpochWorker) serveMuxConn(conn net.Conn, firstKind wire.DistFrameKind, 
 			if err != nil {
 				return err
 			}
+			if _, ok := sessions[id]; !ok {
+				w.sessions.Add(1)
+			}
 			sessions[id] = sess
 			return write(wire.DistFrameMuxSessionOK, wire.AppendMuxID(id, nil))
+		case wire.DistFrameMuxSessionEnd:
+			id, err := wire.ParseMuxSessionEnd(body)
+			if err != nil {
+				return err
+			}
+			if _, ok := sessions[id]; ok {
+				delete(sessions, id)
+				w.sessions.Add(-1)
+			}
+			return nil
 		case wire.DistFrameMuxJob, wire.DistFrameMuxDeltaJob:
 			id, rest, err := wire.SplitMuxID(body)
 			if err != nil {

@@ -49,6 +49,13 @@ type Replay struct {
 	// slices ending at snapshots from coasting into the next epoch's
 	// instructions.
 	syncTail bool
+	// fedOut records that the bus handler stopped the replica because it
+	// had just consumed the last fed entry. A whole-log replay would have
+	// carried on from there, so the stop is provisional: if the entries fed
+	// next put an async landmark behind the replica, Run resumes the sprint
+	// instead of faulting at the stop, and the verdict stays independent of
+	// how the log was batched.
+	fedOut bool
 
 	fault *FaultReport
 	done  bool
@@ -392,6 +399,7 @@ func (r *Replay) In(m *vm.Machine, port uint32) uint32 {
 	// was fed.
 	if r.nextReplayable() == nil {
 		m.StopReq = true
+		r.fedOut = true
 	}
 	return uint32(nd.Value)
 }
@@ -509,6 +517,28 @@ func (r *Replay) Run() {
 				return
 			}
 			lm := ev.Landmark
+			if lm.ICount < m.ICount && r.fedOut {
+				// The replica stopped at the end of an earlier feed, past
+				// this landmark. A whole-log replay was mid-sprint here,
+				// bounded by the budget alone (the landmark was behind it),
+				// so finish that sprint; the fault is then found where the
+				// whole log finds it.
+				if r.Stats.Instructions < r.MaxInstructions {
+					before := m.ICount
+					m.RunUntil(m.ICount + (r.MaxInstructions - r.Stats.Instructions))
+					r.Stats.Instructions += m.ICount - before
+				}
+				if r.fault == nil && !r.complete && !m.Halted && !m.Waiting &&
+					r.Stats.Instructions >= r.MaxInstructions {
+					// Stopped on a budget that entries still to come can
+					// raise: the stop is still provisional.
+					r.paused = true
+					return
+				}
+				r.fedOut = false
+				continue
+			}
+			r.fedOut = false
 			switch {
 			case lm.ICount < m.ICount:
 				r.diverge(CheckSemantic, e.Seq,
@@ -570,6 +600,7 @@ func (r *Replay) Run() {
 				"instruction budget exhausted (%d) without reproducing log entry", r.MaxInstructions)
 			return
 		}
+		r.fedOut = false
 		// Sprint the gap: run in one stretch to the next async landmark (or
 		// the remaining instruction budget, whichever is nearer), so the
 		// interpreter stays on its predecoded fast path instead of paying

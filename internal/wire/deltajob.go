@@ -195,10 +195,10 @@ func (j *AuditDeltaJob) Marshal() []byte {
 func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
 	r := &reader{b: b}
 	j := &AuditDeltaJob{Index: r.uvarint()}
-	j.StartSnap = uint32(r.uvarint())
+	j.StartSnap = r.u32()
 	j.StartSeq = r.uvarint()
 	j.StartRoot = r.hash()
-	j.BaseSnap = uint32(r.uvarint())
+	j.BaseSnap = r.u32()
 	j.BaseRoot = r.hash()
 	nsteps := r.uvarint()
 	if r.err != nil {
@@ -210,12 +210,12 @@ func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
 	j.Steps = make([]DeltaStep, 0, nsteps)
 	for i := uint64(0); i < nsteps; i++ {
 		var s DeltaStep
-		s.FromIndex = uint32(r.uvarint())
+		s.FromIndex = r.u32()
 		s.FromRoot = r.hash()
 		s.ToRoot = r.hash()
 		s.FromMemRoot = r.hash()
 		s.ToMemRoot = r.hash()
-		s.ProofLeaves = uint32(r.uvarint())
+		s.ProofLeaves = r.u32()
 		npages := r.uvarint()
 		if r.err != nil {
 			return nil, fmt.Errorf("parsing audit delta job step %d: %w", i, r.err)
@@ -227,7 +227,7 @@ func ParseAuditDeltaJob(b []byte) (*AuditDeltaJob, error) {
 		s.PageData = make([][]byte, npages)
 		s.OldHashes = make([][32]byte, npages)
 		for k := uint64(0); k < npages; k++ {
-			s.PageIndices[k] = uint32(r.uvarint())
+			s.PageIndices[k] = r.u32()
 			s.PageData[k] = r.bytes()
 			s.OldHashes[k] = r.hash()
 		}

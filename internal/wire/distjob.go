@@ -48,7 +48,8 @@ const (
 	// jobs explicitly instead of dying mid-epoch.
 
 	// DistFrameMuxSession registers a session on a multiplexed connection:
-	// uvarint session id, then the AuditSession body.
+	// uvarint session id, then the AuditSession body. The session lasts
+	// until its DistFrameMuxSessionEnd (or the connection's end).
 	DistFrameMuxSession
 	// DistFrameMuxSessionOK acknowledges a multiplexed session: uvarint
 	// session id.
@@ -82,6 +83,27 @@ func SplitMuxID(b []byte) (uint64, []byte, error) {
 		return 0, nil, errors.New("wire: truncated mux session id")
 	}
 	return id, b[n:], nil
+}
+
+// DistFrameMuxSessionEnd ends a multiplexed session: the body is the
+// uvarint session id alone. The coordinator sends it once an audit run has
+// settled, after the last job frame of that session; the worker drops the
+// session's reference configuration, while jobs it already queued for the
+// session still replay and answer. A session's lifecycle on a connection is
+// therefore DistFrameMuxSession, then any number of DistFrameMuxJob /
+// DistFrameMuxDeltaJob frames, then DistFrameMuxSessionEnd. The kind
+// follows the registration frames in the DistFrame* numbering.
+const DistFrameMuxSessionEnd DistFrameKind = DistFrameWelcome + 1
+
+// ParseMuxSessionEnd decodes a DistFrameMuxSessionEnd body (build one with
+// AppendMuxID(id, nil)).
+func ParseMuxSessionEnd(b []byte) (uint64, error) {
+	r := &reader{b: b}
+	id := r.uvarint()
+	if err := r.done(); err != nil {
+		return 0, fmt.Errorf("parsing mux session end: %w", err)
+	}
+	return id, nil
 }
 
 // AuditSession is the per-audit reference configuration a worker needs to
@@ -161,11 +183,11 @@ func (s *AuditSession) Marshal() []byte {
 // ParseAuditSession decodes a session frame body.
 func ParseAuditSession(b []byte) (*AuditSession, error) {
 	r := &reader{b: b}
-	s := &AuditSession{Node: r.str(), RNGSeed: r.uvarint(), DisablePredecode: r.uvarint() != 0, DisableFusion: r.uvarint() != 0}
+	s := &AuditSession{Node: r.str(), RNGSeed: r.uvarint(), DisablePredecode: r.flag(), DisableFusion: r.flag()}
 	s.ImageName = r.str()
 	s.Code = r.bytes()
-	s.TextSize = uint32(r.uvarint())
-	s.Entry = uint32(r.uvarint())
+	s.TextSize = r.u32()
+	s.Entry = r.u32()
 	n := r.uvarint()
 	if r.err == nil && n > uint64(len(r.b)) {
 		r.err = fmt.Errorf("wire: session claims %d vectors, %d bytes remain", n, len(r.b))
@@ -173,7 +195,7 @@ func ParseAuditSession(b []byte) (*AuditSession, error) {
 	if r.err == nil {
 		s.Vectors = make([]uint32, n)
 		for i := range s.Vectors {
-			s.Vectors[i] = uint32(r.uvarint())
+			s.Vectors[i] = r.u32()
 		}
 	}
 	s.MemSize = r.uvarint()
@@ -231,8 +253,8 @@ func (j *AuditJob) Marshal() []byte {
 // ParseAuditJob decodes a job frame body.
 func ParseAuditJob(b []byte) (*AuditJob, error) {
 	r := &reader{b: b}
-	j := &AuditJob{Index: r.uvarint(), Boot: r.uvarint() != 0}
-	j.StartSnap = uint32(r.uvarint())
+	j := &AuditJob{Index: r.uvarint(), Boot: r.flag()}
+	j.StartSnap = r.u32()
 	j.StartSeq = r.uvarint()
 	j.StartRoot = r.hash()
 	j.Mem = r.bytes()
@@ -315,7 +337,7 @@ func ParseAuditVerdict(b []byte) (*AuditVerdict, error) {
 		EventsInjected:    r.uvarint(),
 		SnapshotsVerified: r.uvarint(),
 	}
-	v.HasFault = r.uvarint() != 0
+	v.HasFault = r.flag()
 	if v.HasFault {
 		v.FaultNode = r.str()
 		v.FaultCheck = r.str()

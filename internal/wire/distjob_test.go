@@ -146,3 +146,99 @@ func TestDistCodecTruncation(t *testing.T) {
 		}
 	}
 }
+
+// The session and verdict frames cross the coordinator↔worker connection,
+// where the peer is untrusted: parsing arbitrary bytes must error, never
+// panic, and any accepted body must re-marshal to exactly its input bytes
+// (the codec is canonical, so no frame has two encodings).
+
+func FuzzParseAuditSession(f *testing.F) {
+	f.Add(testSession().Marshal())
+	f.Add((&AuditSession{}).Marshal())
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		s, err := ParseAuditSession(b)
+		if err != nil {
+			return
+		}
+		if got := s.Marshal(); !reflect.DeepEqual(got, b) {
+			t.Fatalf("re-marshal differs:\n got %x\nwant %x", got, b)
+		}
+	})
+}
+
+func FuzzParseAuditVerdict(f *testing.F) {
+	f.Add((&AuditVerdict{Index: 3, Instructions: 123456, EntriesConsumed: 77}).Marshal())
+	f.Add((&AuditVerdict{Index: 5, HasFault: true, FaultNode: "player2", FaultCheck: "snapshot",
+		FaultDetail: "root mismatch", FaultEntrySeq: 42,
+		FaultLandmark: vm.Landmark{ICount: 99, Branches: 7, PC: 0x30}}).Marshal())
+	f.Add([]byte{})
+	f.Add([]byte{0x01})
+	f.Fuzz(func(t *testing.T, b []byte) {
+		v, err := ParseAuditVerdict(b)
+		if err != nil {
+			return
+		}
+		if got := v.Marshal(); !reflect.DeepEqual(got, b) {
+			t.Fatalf("re-marshal differs:\n got %x\nwant %x", got, b)
+		}
+	})
+}
+
+// TestMuxSessionEnd pins the session-end kind after the registration
+// frames and checks its body is the session id and nothing else.
+func TestMuxSessionEnd(t *testing.T) {
+	if DistFrameMuxSessionEnd != 19 {
+		t.Fatalf("DistFrameMuxSessionEnd = %d, want 19", DistFrameMuxSessionEnd)
+	}
+	for _, id := range []uint64{0, 1, 300, 1<<64 - 1} {
+		got, err := ParseMuxSessionEnd(AppendMuxID(id, nil))
+		if err != nil || got != id {
+			t.Fatalf("id %d: got %d, %v", id, got, err)
+		}
+	}
+	for _, bad := range [][]byte{nil, {0x80}, {0x01, 0x00}, {0x81, 0x00}} {
+		if _, err := ParseMuxSessionEnd(bad); err == nil {
+			t.Errorf("session-end body %x accepted", bad)
+		}
+	}
+}
+
+// TestDistCodecRejectsNonCanonical: a varint with a redundant zero group,
+// a flag other than 0 or 1 and a 32-bit field past 2^32-1 are each a
+// second encoding of some frame, so the parsers refuse them.
+func TestDistCodecRejectsNonCanonical(t *testing.T) {
+	verdict := (&AuditVerdict{Index: 2}).Marshal() // eight single-byte varints
+	padded := append([]byte{verdict[0] | 0x80, 0x00}, verdict[1:]...)
+	if _, err := ParseAuditVerdict(padded); err == nil {
+		t.Error("non-minimal varint accepted")
+	}
+	flagged := append([]byte(nil), verdict...)
+	flagged[7] = 2 // HasFault
+	if _, err := ParseAuditVerdict(flagged); err == nil {
+		t.Error("flag value 2 accepted")
+	}
+	s := testSession()
+	session := func(textSize uint64) []byte {
+		w := &writer{}
+		w.str(s.Node)
+		w.uvarint(s.RNGSeed)
+		w.uvarint(0)
+		w.uvarint(0)
+		w.str(s.ImageName)
+		w.bytes(s.Code)
+		w.uvarint(textSize)
+		w.uvarint(uint64(s.Entry))
+		w.uvarint(0)
+		w.uvarint(s.MemSize)
+		w.bytes(s.Disk)
+		return w.b
+	}
+	if _, err := ParseAuditSession(session(1<<32 - 1)); err != nil {
+		t.Fatalf("largest 32-bit field rejected: %v", err)
+	}
+	if _, err := ParseAuditSession(session(1 << 32)); err == nil {
+		t.Error("32-bit overflow accepted")
+	}
+}

@@ -100,8 +100,8 @@ func FuzzParseRegistrationHello(f *testing.F) {
 		if err != nil {
 			return
 		}
-		// The reader accepts non-minimal uvarint encodings, so re-marshal
-		// canonicalizes; require semantic re-parse equality instead.
+		// Require semantic re-parse equality: a parsed hello must mean the
+		// same thing after a re-encode cycle.
 		got, err := ParseRegistrationHello(h.Marshal())
 		if err != nil || !reflect.DeepEqual(h, got) {
 			t.Fatalf("hello re-parse differs: %+v vs %+v (err %v)", h, got, err)

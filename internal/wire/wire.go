@@ -9,6 +9,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"math"
 
 	"repro/internal/sig"
 	"repro/internal/tevlog"
@@ -43,8 +44,34 @@ func (r *reader) uvarint() uint64 {
 		r.err = errors.New("wire: truncated varint")
 		return 0
 	}
+	if n > 1 && r.b[n-1] == 0 {
+		// A zero final group could have been left off: every value has
+		// exactly one encoding, so no frame can smuggle an alternate one.
+		r.err = errors.New("wire: non-minimal varint")
+		return 0
+	}
 	r.b = r.b[n:]
 	return v
+}
+
+// u32 reads a uvarint that must fit in 32 bits.
+func (r *reader) u32() uint32 {
+	v := r.uvarint()
+	if r.err == nil && v > math.MaxUint32 {
+		r.err = fmt.Errorf("wire: varint %d overflows 32 bits", v)
+		return 0
+	}
+	return uint32(v)
+}
+
+// flag reads a boolean encoded as uvarint 0 or 1.
+func (r *reader) flag() bool {
+	v := r.uvarint()
+	if r.err == nil && v > 1 {
+		r.err = fmt.Errorf("wire: flag value %d is neither 0 nor 1", v)
+		return false
+	}
+	return v == 1
 }
 
 func (r *reader) bytes() []byte {
@@ -79,7 +106,7 @@ func (r *reader) hash() [32]byte {
 }
 
 func (r *reader) landmark() vm.Landmark {
-	return vm.Landmark{ICount: r.uvarint(), Branches: r.uvarint(), PC: uint32(r.uvarint())}
+	return vm.Landmark{ICount: r.uvarint(), Branches: r.uvarint(), PC: r.u32()}
 }
 
 func (r *reader) done() error {
